@@ -10,7 +10,23 @@ cache, then fan out to the live shard ranks; per-shard candidate lists
 merge with the same (score, global row) tie-breaking a global stable
 argsort applies, so the merged answer is bit-identical to the
 single-result :class:`~repro.analysis.session.AnalysisSession` path at
-every shard count.
+every shard count.  Query kinds dispatch through one kind->operator
+table (``_Broker._EXECUTORS``).
+
+This module also holds the pieces every serving entry point shares --
+:func:`serve` here, :func:`~repro.serve.router.serve_replicated`, and
+the workbench's ``serve_workbench``/``serve_workbench_replicated``:
+
+- :class:`_ShardWorker`, the one shard-worker loop.  It serves every
+  shard a :class:`~repro.serve.replica.ReplicaMap` places on its rank
+  (exactly one in the single tier) through :func:`execute_shard_op`,
+  receiving with a plain ``recv`` from a single source (so the single
+  tier runs on the mp backend) or ``recv_any`` from the router and
+  brokers of the replicated tier.
+- :func:`launch`, the one launcher: it lays out the ranks (front rank,
+  tier brokers, shard workers, optional ingest driver), runs the
+  cluster, and attaches metrics, failed ranks and the ingest outcome
+  to rank 0's report.
 
 Generational serving (live ingest): when the store is generational --
 or an ingest plan runs alongside in an extra rank ``nshards + 1`` --
@@ -22,8 +38,8 @@ shard rank resolves exactly that generation's segment list (its base
 shard plus the delta segments it owns), and the response envelope
 records the generation -- one query never mixes generations.  The
 per-epoch icf weights are recomputed on reload because they depend on
-the collection size.  Static stores keep the PR-4 three-field wire
-messages, so their virtual timings are unchanged.
+the collection size.  Static stores keep the three-field wire messages
+(no epoch), so their virtual timings are unchanged.
 
 Degradation policy: a per-query shard timeout bounds each fan-out
 round.  :class:`~repro.runtime.errors.RankFailedError` (a shard rank
@@ -84,16 +100,18 @@ from repro.serve.query import (
     merge_desc,
     topk_int_score_row,
 )
+from repro.serve.replica import ReplicaMap
 from repro.serve.store import (
     CURRENT_FILE,
     Container,
+    ShardFormatError,
     StoreManifest,
     current_generation,
     load_manifest,
     load_manifest_generation,
     load_model,
 )
-from repro.serve.workload import ClientScript
+from repro.serve.workload import ClientScript, WorkloadReport
 
 TAG_REQ = 101
 TAG_RESP = 102
@@ -126,7 +144,7 @@ class BrokerConfig:
 
 
 @dataclass
-class ServeReport:
+class ServeReport(WorkloadReport):
     """Outcome of one broker session over a workload."""
 
     responses: list[dict]
@@ -139,36 +157,6 @@ class ServeReport:
     generations: dict = field(default_factory=dict)
     #: ingest-driver outcome when an ingest plan ran alongside
     ingest: Optional[dict] = None
-
-    @property
-    def served(self) -> int:
-        return len(self.responses)
-
-    @property
-    def throughput(self) -> float:
-        """Served queries per virtual second."""
-        return self.served / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def degraded(self) -> int:
-        return sum(1 for r in self.responses if r["response"].get("partial"))
-
-    @property
-    def degraded_rate(self) -> float:
-        return self.degraded / self.served if self.served else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        hits = sum(1 for r in self.responses if r.get("cached"))
-        return hits / self.served if self.served else 0.0
-
-    def latency_percentile(self, pct: float) -> float:
-        """Nearest-rank percentile of served-query virtual latency."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        idx = max(0, int(np.ceil(pct / 100.0 * len(ordered))) - 1)
-        return ordered[idx]
 
 
 # ----------------------------------------------------------------------
@@ -365,56 +353,84 @@ def execute_shard_op(
 
 
 class _ShardWorker:
-    """One shard rank's serving loop over the generations it is asked
-    about.
+    """The shard-worker rank of every serving topology.
 
-    Per epoch the rank serves a *segment list*: its base shard plus
-    every delta segment whose ``owner`` it is.  Manifests and segment
-    stores are cached across epochs (a generation's containers are
-    immutable once published).  With a single segment -- every static
-    store -- the per-op charge sequence and payloads are byte-identical
-    to the PR-4 single-shard loop.
+    Serves each shard ``rmap`` places on worker ``worker_id``, for
+    whatever epoch a request pins.  Per (epoch, shard) it serves a
+    *segment list*: the base shard plus every delta segment that shard
+    owns -- identical files on every replica of the shard, run through
+    the one :func:`execute_shard_op`, so any copy answers
+    bit-identically.  Manifests and segment stores are cached across
+    epochs (a generation's containers are immutable once published).
+
+    ``sources`` are the ranks that send requests.  A single source (the
+    single-tier broker) is read with a plain ``recv``, which every
+    execution backend supports; the replicated tier's router plus
+    brokers need ``recv_any``.  Single-tier requests leave out the
+    shard (the worker hosts exactly one), and static stores also leave
+    out the epoch -- the three-field wire message of a static store.
     """
 
-    def __init__(self, ctx, store_dir: str):
+    def __init__(
+        self, ctx, store_dir: str, rmap: ReplicaMap, worker_id: int, sources
+    ):
         self.ctx = ctx
         self.store_dir = store_dir
-        self.shard_idx = ctx.rank - 1
+        self.rmap = rmap
+        self.worker_id = worker_id
+        self.shards = rmap.shards_of(worker_id)
+        self.sources = list(sources)
         self.model = load_model(store_dir)
         self._manifests: dict[int, StoreManifest] = {}
-        self._segments: dict[int, list[ShardStore]] = {}
+        self._segments: dict[tuple[int, int], list[ShardStore]] = {}
         self._stores: dict[str, ShardStore] = {}
 
-    def _manifest(self, epoch: int) -> StoreManifest:
+    def _identity(self, shard: int) -> str:
+        hosts = self.rmap.workers_for(shard)
+        copy = hosts.index(self.worker_id) if self.worker_id in hosts else -1
+        return (
+            f"shard {shard} copy {copy} on worker {self.worker_id} "
+            f"(rank {self.ctx.rank})"
+        )
+
+    def segments(self, epoch: int, shard: int) -> list[ShardStore]:
+        """The epoch's segment list for one hosted shard.
+
+        A malformed store file raises a :class:`ShardFormatError` that
+        names this copy of the shard.
+        """
+        key = (epoch, shard)
+        if key not in self._segments:
+            try:
+                self._segments[key] = self._resolve(epoch, shard)
+            except ShardFormatError as exc:
+                raise ShardFormatError(
+                    exc.path, exc.reason, context=self._identity(shard)
+                ) from exc
+        return self._segments[key]
+
+    def _resolve(self, epoch: int, shard: int) -> list[ShardStore]:
         m = self._manifests.get(epoch)
         if m is None:
             m = load_manifest_generation(self.store_dir, epoch)
             self._manifests[epoch] = m
-        return m
+        files = [m.shards[shard].file]
+        files += [d.file for d in m.deltas if d.owner == shard]
+        for f in files:
+            if f not in self._stores:
+                self._stores[f] = ShardStore(
+                    Container(os.path.join(self.store_dir, f)), self.model
+                )
+        return [self._stores[f] for f in files]
 
-    def _store(self, fname: str) -> ShardStore:
-        s = self._stores.get(fname)
-        if s is None:
-            s = ShardStore(
-                Container(os.path.join(self.store_dir, fname)), self.model
-            )
-            self._stores[fname] = s
-        return s
-
-    def segments(self, epoch: int) -> list[ShardStore]:
-        segs = self._segments.get(epoch)
-        if segs is None:
-            m = self._manifest(epoch)
-            files = [m.shards[self.shard_idx].file]
-            files += [
-                d.file for d in m.deltas if d.owner == self.shard_idx
-            ]
-            segs = [self._store(f) for f in files]
-            self._segments[epoch] = segs
-        return segs
+    def _recv(self):
+        if len(self.sources) == 1:
+            src = self.sources[0]
+            return src, self.ctx.comm.recv(src, tag=TAG_REQ)
+        return self.ctx.comm.recv_any(sources=self.sources, tag=TAG_REQ)
 
     def run(self) -> int:
-        """Serve operators until the broker says stop."""
+        """Serve operators until rank 0 says stop (or dies)."""
         ctx = self.ctx
         bytes_scanned = ctx.metrics.counter(
             "serve.shard.bytes_scanned", ("shard",)
@@ -422,36 +438,48 @@ class _ShardWorker:
         blocks_skipped = ctx.metrics.counter(
             "serve.shard.blocks_skipped", ("shard",)
         )
-        skey = (str(self.shard_idx),)
         served = 0
         while True:
-            msg = ctx.comm.recv(0, tag=TAG_REQ)
+            try:
+                src, msg = self._recv()
+            except CommTimeoutError:
+                if 0 in ctx.failed_ranks():
+                    return served
+                continue
+            except RankFailedError as exc:
+                if 0 in exc.failed:
+                    return served
+                self.sources = [r for r in self.sources if r not in exc.failed]
+                continue
             if msg[0] == "stop":
                 return served
-            if len(msg) == 4:
+            if len(msg) == 5:
+                qid, epoch, shard, op, params = msg
+            elif len(msg) == 4:  # single tier: the worker's one shard
                 qid, epoch, op, params = msg
-            else:
+                shard = self.shards[0]
+            else:  # single tier over a static store: epoch 0
                 qid, op, params = msg
-                epoch = 0
-            segs = self.segments(epoch)
+                epoch, shard = 0, self.shards[0]
+            segs = self.segments(epoch, shard)
             payload, scanned, skipped = execute_shard_op(
                 ctx, self.model, segs, op, params
             )
             ctx.charge_io(scanned, concurrent_readers=1)
-            bytes_scanned.inc(ctx.rank, float(scanned), key=skey)
-            blocks_skipped.inc(ctx.rank, float(skipped), key=skey)
-            ctx.comm.send(0, (qid, self.shard_idx, payload), tag=TAG_RESP)
+            bytes_scanned.inc(ctx.rank, float(scanned), key=(str(shard),))
+            blocks_skipped.inc(ctx.rank, float(skipped), key=(str(shard),))
+            ctx.comm.send(src, (qid, shard, payload), tag=TAG_RESP)
             served += 1
-
-
-def _shard_main(ctx, store_dir: str) -> int:
-    """Serve one shard's operators until the broker says stop."""
-    return _ShardWorker(ctx, store_dir).run()
 
 
 # ----------------------------------------------------------------------
 # broker rank
 # ----------------------------------------------------------------------
+def _unflagged(kind: str, **fields) -> dict:
+    """A response answered without any shard fan-out (never partial)."""
+    return {"kind": kind, **fields, "partial": False, "failed_shards": []}
+
+
 class _Broker:
     def __init__(
         self,
@@ -606,23 +634,15 @@ class _Broker:
         return got, dropped
 
     def _merged_response(
-        self,
-        kind: str,
-        got: dict[int, object],
-        dropped: list[int],
-        k: int,
-        descending: bool = True,
+        self, kind: str, got: dict[int, object], dropped: list[int], k: int
     ) -> dict:
         per_shard = [got[s] for s in sorted(got)]
-        merge = merge_desc if descending else merge_asc
-        cands = merge(per_shard, k)
+        cands = merge_desc(per_shard, k)
         self.ctx.charge_cpu(sum(len(p) for p in per_shard) + _DISPATCH_OPS)
-        resp = {"kind": kind, "hits": hits_payload(cands)}
-        self._flag(resp, dropped)
-        return resp
+        return self._flag({"kind": kind, "hits": hits_payload(cands)}, dropped)
 
-    def _flag(self, resp: dict, dropped: list[int]) -> None:
-        """Mark a response that is missing any shard's documents.
+    def _flag(self, resp: dict, dropped: list[int]) -> dict:
+        """Flag a response missing any shard's documents; returns it.
 
         Permanently-dead shards count on every later query too: an
         answer that cannot see part of the collection stays flagged
@@ -632,40 +652,22 @@ class _Broker:
         missing = sorted(set(dropped) | set(dead))
         resp["partial"] = bool(missing)
         resp["failed_shards"] = missing
+        return resp
 
     # -- operators -----------------------------------------------------
     def execute(self, query: Query) -> dict:
         """Fan one accepted, uncached query out and merge the answer."""
-        kind = query.kind
-        if kind == "search":
-            return self._exec_search(query)
-        if kind == "query":
-            return self._exec_query(query)
-        if kind == "similar":
-            return self._exec_similar(query)
-        if kind == "cluster":
-            return self._exec_cluster(query)
-        if kind == "facet_counts":
-            return self._exec_facet_counts(query)
-        if kind == "window_terms":
-            return self._exec_window_terms(query)
-        if kind == "emerging":
-            return self._exec_emerging(query)
-        return self._exec_region(query)
+        return getattr(self, self._EXECUTORS[query.kind])(query)
+
+    def _term_rows(self, terms) -> list[int]:
+        """Model term rows of the known ``terms``, in query order."""
+        row = self.model.term_row
+        return [row[t] for t in terms if t in row]
 
     def _exec_search(self, query: Query) -> dict:
-        term_rows = [
-            self.model.term_row[t]
-            for t in query.terms
-            if t in self.model.term_row
-        ]
+        term_rows = self._term_rows(query.terms)
         if not term_rows or not self.model.has_postings:
-            return {
-                "kind": "search",
-                "hits": [],
-                "partial": False,
-                "failed_shards": [],
-            }
+            return _unflagged("search", hits=[])
         k = min(max(1, query.k), self.n_docs)
         got, dropped = self._fanout(
             self.live,
@@ -690,22 +692,12 @@ class _Broker:
         response is identical to what :meth:`_exec_search` would have
         produced for that query alone.
         """
-        empty = {
-            "kind": "search",
-            "hits": [],
-            "partial": False,
-            "failed_shards": [],
-        }
         out: list[Optional[dict]] = [None] * len(queries)
         resolved: list[tuple[int, list, int]] = []
         for i, query in enumerate(queries):
-            term_rows = [
-                self.model.term_row[t]
-                for t in query.terms
-                if t in self.model.term_row
-            ]
+            term_rows = self._term_rows(query.terms)
             if not term_rows or not self.model.has_postings:
-                out[i] = dict(empty)
+                out[i] = _unflagged("search", hits=[])
                 continue
             k = min(max(1, query.k), self.n_docs)
             resolved.append((i, term_rows, k))
@@ -725,19 +717,11 @@ class _Broker:
         return out
 
     def _exec_query(self, query: Query) -> dict:
-        rows = [
-            self.model.term_row[t]
-            for t in query.terms
-            if t in self.model.term_row
-        ]
-        unit = pseudo_signature(self.model.association, rows)
+        unit = pseudo_signature(
+            self.model.association, self._term_rows(query.terms)
+        )
         if unit is None:
-            return {
-                "kind": "query",
-                "hits": [],
-                "partial": False,
-                "failed_shards": [],
-            }
+            return _unflagged("query", hits=[])
         k = min(max(1, query.k), self.n_docs)
         got, dropped = self._fanout(
             self.live, "matvec", {"unit": unit, "k": k}
@@ -756,35 +740,24 @@ class _Broker:
                 if d.n_docs and d.doc_lo <= query.doc_id <= d.doc_hi:
                     owner = d.owner
                     break
+        unknown = _unflagged(
+            "similar", hits=[], error=f"unknown doc_id {query.doc_id}"
+        )
         if owner is None:
-            return {
-                "kind": "similar",
-                "hits": [],
-                "error": f"unknown doc_id {query.doc_id}",
-                "partial": False,
-                "failed_shards": [],
-            }
+            return unknown
         if owner not in self.live:
             # the only shard that could anchor this query is gone
-            resp = {"kind": "similar", "hits": []}
-            self._flag(resp, [owner])
-            return resp
+            return self._flag({"kind": "similar", "hits": []}, [owner])
         got, dropped = self._fanout(
             [owner], "fetch_unit", {"doc_id": query.doc_id}
         )
         fetched = got.get(owner)
         if fetched is None:
-            resp = {"kind": "similar", "hits": []}
-            self._flag(resp, dropped or [owner])
-            return resp
+            return self._flag(
+                {"kind": "similar", "hits": []}, dropped or [owner]
+            )
         if fetched[0] is None:
-            return {
-                "kind": "similar",
-                "hits": [],
-                "error": f"unknown doc_id {query.doc_id}",
-                "partial": False,
-                "failed_shards": [],
-            }
+            return unknown
         unit_row, global_row = fetched[0], fetched[1]
         k = min(max(1, query.k), self.n_docs - 1)
         got, dropped2 = self._fanout(
@@ -799,14 +772,10 @@ class _Broker:
     def _exec_cluster(self, query: Query) -> dict:
         kmax = self.model.centroids.shape[0]
         if not 0 <= query.cluster < kmax:
-            return {
-                "kind": "cluster",
-                "error": (
-                    f"cluster {query.cluster} out of range [0, {kmax})"
-                ),
-                "partial": False,
-                "failed_shards": [],
-            }
+            return _unflagged(
+                "cluster",
+                error=f"cluster {query.cluster} out of range [0, {kmax})",
+            )
         centroid = self.model.centroids[query.cluster]
         got, dropped = self._fanout(
             self.live,
@@ -831,8 +800,7 @@ class _Broker:
             "representative_docs": [c.doc_id for c in reps],
             "centroid_norm": float(np.linalg.norm(centroid)),
         }
-        self._flag(resp, dropped)
-        return resp
+        return self._flag(resp, dropped)
 
     def _exec_region(self, query: Query) -> dict:
         got, dropped = self._fanout(
@@ -843,9 +811,9 @@ class _Broker:
         parts = [got[s] for s in sorted(got) if got[s][0].size]
         size = int(sum(got[s][0].size for s in got))
         if size == 0:
-            resp = {"kind": "region", "size": 0, "terms": []}
-            self._flag(resp, dropped)
-            return resp
+            return self._flag(
+                {"kind": "region", "size": 0, "terms": []}, dropped
+            )
         # reassembling the shard blocks in global row order rebuilds
         # the exact contiguous array the reference session reduces, so
         # the mean is bit-identical to the unsharded path; on static
@@ -864,21 +832,16 @@ class _Broker:
                 mean_sig, self.model.topic_terms, query.n_terms
             ),
         }
-        self._flag(resp, dropped)
-        return resp
+        return self._flag(resp, dropped)
 
     # -- window analytics (stamped stores) -----------------------------
     def _facet_error(self, kind: str) -> dict:
         """Typed answer for a facet query against an unstamped store."""
-        return {
-            "kind": kind,
-            "error": (
-                "store is not stamped: no facet sections "
-                "(rebuild from a stamped corpus)"
-            ),
-            "partial": False,
-            "failed_shards": [],
-        }
+        return _unflagged(
+            kind,
+            error="store is not stamped: no facet sections "
+            "(rebuild from a stamped corpus)",
+        )
 
     def _count_facets(
         self, kind: str, scanned: int, hits: int = 0
@@ -917,8 +880,7 @@ class _Broker:
             "counts": [int(c) for c in counts],
             "total": int(counts.sum()),
         }
-        self._flag(resp, dropped)
-        return resp
+        return self._flag(resp, dropped)
 
     def _merge_window_tf(
         self, got: dict[int, object], slot: int
@@ -970,8 +932,7 @@ class _Broker:
                 for r in rows
             ],
         }
-        self._flag(resp, dropped)
-        return resp
+        return self._flag(resp, dropped)
 
     def _exec_emerging(self, query: Query) -> dict:
         fac = self.manifest.facets
@@ -1016,8 +977,19 @@ class _Broker:
                 for r in rows
             ],
         }
-        self._flag(resp, dropped)
-        return resp
+        return self._flag(resp, dropped)
+
+    #: query kind -> the operator method answering it
+    _EXECUTORS = {
+        "search": "_exec_search",
+        "query": "_exec_query",
+        "similar": "_exec_similar",
+        "cluster": "_exec_cluster",
+        "region": "_exec_region",
+        "facet_counts": "_exec_facet_counts",
+        "window_terms": "_exec_window_terms",
+        "emerging": "_exec_emerging",
+    }
 
     # -- closed-loop event pump ----------------------------------------
     def _admit(self, script: ClientScript, depth: int) -> bool:
@@ -1044,6 +1016,21 @@ class _Broker:
                 self._shard_rank(s), ("stop",), tag=TAG_REQ
             )
 
+    def _tally(self, gen: int, arrival: float) -> None:
+        """Count one answered request against its generation."""
+        stats = self.gen_stats.setdefault(
+            gen, {"queries": 0, "first_virtual_s": float(arrival)}
+        )
+        stats["queries"] += 1
+
+    def _dead_shard_ranks(self) -> list[int]:
+        """Ranks of the shards this broker has seen crash."""
+        return sorted(
+            self._shard_rank(s)
+            for s in range(self.nshards)
+            if s not in self.live
+        )
+
     def _build_report(
         self,
         responses: list[dict],
@@ -1054,9 +1041,7 @@ class _Broker:
             responses=responses,
             latencies=latencies,
             rejected=rejected,
-            failed_ranks=sorted(
-                s + 1 for s in range(self.nshards) if s not in self.live
-            ),
+            failed_ranks=self._dead_shard_ranks(),
             makespan=self.ctx.now,
             generations=self.gen_stats,
         )
@@ -1087,11 +1072,7 @@ class _Broker:
             finish = ctx.now
             latency = finish - arrival
             self.h_latency.observe(self.mrank, latency, key=(query.kind,))
-            stats = self.gen_stats.setdefault(
-                self.epoch,
-                {"queries": 0, "first_virtual_s": float(arrival)},
-            )
-            stats["queries"] += 1
+            self._tally(self.epoch, arrival)
             responses.append(
                 {
                     "client": script.client,
@@ -1115,23 +1096,24 @@ class _Broker:
                     self.cache.popitem(last=False)
                     self.c_evict.inc(self.mrank)
 
-        while heap:
-            # heap entries carry the *position* in ``scripts``; response
-            # records carry the script's own client id (they differ when
-            # a tier broker pumps a routed subset of the client set)
-            arrival, idx, seq = heapq.heappop(heap)
+        def _accept(
+            idx: int, seq: int, arrival: float, query: Query, queued: int
+        ) -> Optional[tuple]:
+            """Admit, pin and cache-check one query; returns its cache
+            key when it still needs executing."""
             script = scripts[idx]
-            query = script.queries[seq]
             self.c_queries.inc(self.mrank, key=(query.kind,))
-            # admission control: accepted-but-unfinished depth at arrival
-            depth = len(finishes) - bisect_right(finishes, arrival)
+            # admission control: accepted-but-unfinished depth at
+            # arrival, counting the ``queued`` members of a batch being
+            # assembled (admitted but not yet served)
+            depth = len(finishes) - bisect_right(finishes, arrival) + queued
             if not self._admit(script, depth):
                 ctx.charge_cpu(_REJECT_OPS)
                 self._on_reject(
                     script.client, seq, query, script, depth, rejected
                 )
                 _next(idx, seq, arrival)
-                continue
+                return None
             if ctx.now < arrival:
                 ctx.charge(arrival - ctx.now)
             # pin this query's epoch: reload happens between queries,
@@ -1143,8 +1125,19 @@ class _Broker:
                 self.cache.move_to_end(key)
                 ctx.charge_cpu(_CACHE_HIT_OPS)
                 _record(idx, seq, arrival, query, self.cache[key], True)
-                continue
+                return None
             self.c_miss.inc(self.mrank)
+            return key
+
+        while heap:
+            # heap entries carry the *position* in ``scripts``; response
+            # records carry the script's own client id (they differ when
+            # a tier broker pumps a routed subset of the client set)
+            arrival, idx, seq = heapq.heappop(heap)
+            query = scripts[idx].queries[seq]
+            key = _accept(idx, seq, arrival, query, 0)
+            if key is None:
+                continue
             if (
                 query.kind != "search"
                 or cfg.batch_max_queries <= 1
@@ -1159,6 +1152,8 @@ class _Broker:
             # their own admission check, cache lookup, and response
             # identity; they only share the fan-out (and with it the
             # shard-side postings decode) and a common finish time.
+            # (Batching is static-store only, so a member's arrival wait
+            # and epoch reload in ``_accept`` are no-ops.)
             batch = [(idx, seq, arrival, query, key)]
             while heap and len(batch) < cfg.batch_max_queries:
                 a2, i2, s2 = heap[0]
@@ -1166,31 +1161,9 @@ class _Broker:
                 if a2 > ctx.now or q2.kind != "search":
                     break
                 heapq.heappop(heap)
-                script2 = scripts[i2]
-                self.c_queries.inc(self.mrank, key=(q2.kind,))
-                # accepted-but-unfinished depth counts the batch being
-                # assembled: its members are admitted but not served
-                depth2 = (
-                    len(finishes)
-                    - bisect_right(finishes, a2)
-                    + len(batch)
-                )
-                if not self._admit(script2, depth2):
-                    ctx.charge_cpu(_REJECT_OPS)
-                    self._on_reject(
-                        script2.client, s2, q2, script2, depth2, rejected
-                    )
-                    _next(i2, s2, a2)
-                    continue
-                key2 = (self.epoch,) + q2.key()
-                if cfg.cache_capacity > 0 and key2 in self.cache:
-                    self.c_hit.inc(self.mrank)
-                    self.cache.move_to_end(key2)
-                    ctx.charge_cpu(_CACHE_HIT_OPS)
-                    _record(i2, s2, a2, q2, self.cache[key2], True)
-                    continue
-                self.c_miss.inc(self.mrank)
-                batch.append((i2, s2, a2, q2, key2))
+                key2 = _accept(i2, s2, a2, q2, len(batch))
+                if key2 is not None:
+                    batch.append((i2, s2, a2, q2, key2))
             resps = self._exec_search_batch([b[3] for b in batch])
             for (i2, s2, a2, q2, key2), resp in zip(batch, resps):
                 _store(key2, resp)
@@ -1200,16 +1173,78 @@ class _Broker:
         return self._build_report(responses, latencies, rejected)
 
 
-def _serve_main(
-    ctx, store_dir: str, scripts, config: BrokerConfig, nshards: int, ingest
+# ----------------------------------------------------------------------
+# launcher
+# ----------------------------------------------------------------------
+def _rank_main(
+    ctx, store_dir, scripts, rmap, make_broker, brokers, route, ingest
 ):
-    if ctx.rank == 0:
-        return _Broker(
-            ctx, store_dir, config, generational=ingest is not None
-        ).pump(list(scripts))
-    if ctx.rank <= nshards:
-        return _ShardWorker(ctx, store_dir).run()
+    """The SPMD program of every serving session.
+
+    Rank 0 fronts the session: the broker itself in the single tier
+    (``brokers == 0``), else the router (``route``) over tier-broker
+    ranks ``1..brokers``.  Shard-worker ranks follow, one per ``rmap``
+    worker, then the optional ingest-driver rank.
+    """
+    base = 1 + brokers
+    if ctx.rank < base:
+        if route is not None and ctx.rank == 0:
+            return route(ctx, scripts)
+        broker = make_broker(ctx, ingest is not None)
+        return broker.run() if brokers else broker.pump(list(scripts))
+    if ctx.rank < base + len(rmap.workers):
+        return _ShardWorker(
+            ctx, store_dir, rmap, ctx.rank - base, range(base)
+        ).run()
     return ingest.run(ctx, store_dir)
+
+
+def launch(
+    store_dir: str,
+    scripts,
+    rmap: ReplicaMap,
+    make_broker,
+    brokers: int = 0,
+    route=None,
+    machine: Optional[MachineSpec] = None,
+    faults=None,
+    ingest=None,
+    backend: str = "sim",
+):
+    """Run one serving session and return rank 0's report.
+
+    ``make_broker(ctx, generational)`` builds a broker rank; ``route``
+    (with ``brokers`` tier brokers) makes rank 0 a router.  The report
+    gets the run's metrics snapshot, every failed rank, and the ingest
+    driver's outcome when ``ingest`` ran alongside.  Under a fault plan
+    the session degrades or fails over instead of failing: the cluster
+    runs with ``raise_on_failure=False``.
+    """
+    nprocs = 1 + brokers + len(rmap.workers) + (ingest is not None)
+    result = Cluster(
+        nprocs, machine=machine, faults=faults, backend=backend
+    ).run(
+        _rank_main,
+        store_dir,
+        tuple(scripts),
+        rmap,
+        make_broker,
+        brokers,
+        route,
+        ingest,
+        raise_on_failure=False,
+    )
+    report = result.rank_results[0]
+    if report is None:
+        front = "router" if route is not None else "broker"
+        raise RankFailedError(result.failed_ranks, f"{front} rank crashed")
+    report.metrics = result.metrics.snapshot()
+    report.failed_ranks = sorted(
+        set(report.failed_ranks) | set(result.failed_ranks)
+    )
+    if ingest is not None:
+        report.ingest = result.rank_results[-1]
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -1230,7 +1265,7 @@ def serve(
     every scripted query, and returns the broker's
     :class:`ServeReport` with the run's metrics snapshot attached.
     Under a fault plan the session degrades (partial responses) rather
-    than failing: the cluster runs with ``raise_on_failure=False``.
+    than failing.
 
     ``ingest`` (an object with ``run(ctx, store_dir) -> dict``, e.g. an
     :class:`repro.ingest.IngestPlan`) adds one extra driver rank that
@@ -1238,37 +1273,26 @@ def serve(
     its outcome is attached as ``report.ingest``.
 
     ``backend`` selects the runtime execution backend (``"sim"`` or
-    ``"mp"``); reports are bit-identical across backends by the
-    runtime's cross-backend contract.
+    ``"mp"``).  The *answers* are identical across backends: every
+    response, compared as :func:`~repro.serve.query.canonical_response`,
+    and its generation.  Latencies, makespan and metrics may differ:
+    lacking ``recv_any``, the mp fan-out receives shard answers in
+    shard order rather than arrival order, so a query can finish about
+    one receive overhead later (or earlier) in virtual time.
     """
     store_dir = str(store_dir)
-    manifest = load_manifest(store_dir)
     config = config if config is not None else BrokerConfig()
-    nprocs = manifest.nshards + 1 + (1 if ingest is not None else 0)
-    cluster = Cluster(
-        nprocs, machine=machine, faults=faults, backend=backend
-    )
-    result = cluster.run(
-        _serve_main,
+    nshards = load_manifest(store_dir).nshards
+    return launch(
         store_dir,
-        tuple(scripts),
-        config,
-        manifest.nshards,
-        ingest,
-        raise_on_failure=False,
+        scripts,
+        ReplicaMap.single(nshards),
+        lambda ctx, gen: _Broker(ctx, store_dir, config, generational=gen),
+        machine=machine,
+        faults=faults,
+        ingest=ingest,
+        backend=backend,
     )
-    report = result.rank_results[0]
-    if report is None:
-        raise RankFailedError(
-            result.failed_ranks, "broker rank crashed"
-        )
-    report.metrics = result.metrics.snapshot()
-    report.failed_ranks = sorted(
-        set(report.failed_ranks) | set(result.failed_ranks)
-    )
-    if ingest is not None:
-        report.ingest = result.rank_results[manifest.nshards + 1]
-    return report
 
 
 def query_store(

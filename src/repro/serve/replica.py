@@ -135,6 +135,16 @@ class ReplicaMap:
             seed=seed,
         )
 
+    @classmethod
+    def single(cls, nshards: int) -> "ReplicaMap":
+        """The single-tier layout: shard ``s`` alone on worker ``s``."""
+        return cls(
+            nshards=nshards,
+            replicas=1,
+            workers=tuple(range(nshards)),
+            assignments=tuple((s,) for s in range(nshards)),
+        )
+
     def workers_for(self, shard: int) -> tuple[int, ...]:
         """Ordered worker ids hosting ``shard`` (primary first)."""
         return self.assignments[shard]

@@ -1,16 +1,22 @@
 """Replicated, multi-broker serving tier on the deterministic runtime.
 
 Topology: ``nprocs = 1 + brokers + workers`` SPMD ranks (plus one
-optional ingest-driver rank).  Rank 0 is the front-end *router*: it
-assigns every client to a broker by consistent hash (sticky sessions),
-ships each broker its script subset, collects the per-broker session
-reports, and stops the worker tier.  Ranks ``1..B`` are brokers, each
-running the PR-4 closed-loop event pump over its own clients with its
-own admission queue and result cache.  Ranks ``B+1..B+W`` are replica
-workers: worker ``w`` serves *every* shard that
-:class:`~repro.serve.replica.ReplicaMap` places on it, for whatever
-epoch a request pins.  Replicas of a shard resolve the identical
-per-epoch segment list through the same
+optional ingest-driver rank), started by
+:func:`~repro.serve.broker.launch`, the one launcher of every serving
+entry point, after :meth:`RouterConfig.placement` resolves the
+defaulted knobs and places the replicas.  Rank 0 runs the one router
+loop, :func:`_run_router`, which the workbench tier shares: it assigns
+every script to a broker by consistent hash of the broker class's
+routing key (sticky clients here, sticky tenants in the workbench),
+ships each broker its subset, collects the per-broker session reports,
+stops the worker tier, and merges the reports the broker class's way.
+Ranks ``1..B`` are brokers, each running the single-tier broker's
+closed-loop event pump over its own clients with its own admission
+queue and result cache.  Ranks ``B+1..B+W`` run the one shard-worker
+loop, :class:`~repro.serve.broker._ShardWorker`: worker ``w`` serves
+*every* shard that :class:`~repro.serve.replica.ReplicaMap` places on
+it, for whatever epoch a request pins.  Replicas of a shard resolve the
+identical per-epoch segment list through the same
 :func:`~repro.serve.broker.execute_shard_op` code path, so any copy
 answers bit-identically at every epoch -- which is what lets a broker
 fail over mid-query without perturbing a single response byte.
@@ -50,25 +56,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.runtime.cluster import Cluster, MachineSpec
+from repro.runtime.cluster import MachineSpec
 from repro.runtime.errors import CommTimeoutError, RankFailedError
-from repro.serve.broker import (
-    TAG_REQ,
-    TAG_RESP,
-    _Broker,
-    execute_shard_op,
-)
-from repro.serve.query import ShardStore
+from repro.serve.broker import TAG_REQ, TAG_RESP, _Broker, launch
 from repro.serve.replica import ReplicaHealth, ReplicaMap, stable_hash
-from repro.serve.store import (
-    Container,
-    ShardFormatError,
-    StoreManifest,
-    load_manifest,
-    load_manifest_generation,
-    load_model,
-)
-from repro.serve.workload import ClientScript
+from repro.serve.store import StoreManifest, load_manifest
+from repro.serve.workload import ClientScript, WorkloadReport
 
 TAG_SCRIPTS = 104
 TAG_REPORT = 105
@@ -111,6 +104,26 @@ class RouterConfig:
     #: 1 preserves the strictly per-query fan-out
     batch_max_queries: int = 1
 
+    def placement(
+        self, manifest: StoreManifest
+    ) -> tuple["RouterConfig", ReplicaMap]:
+        """Resolve the defaulted knobs against a store and place its
+        shards: ``replicas`` falls back to the manifest's replication,
+        ``workers`` to ``max(nshards, replicas)``."""
+        if self.brokers < 1:
+            raise ValueError(f"need at least one broker, got {self.brokers}")
+        replicas = self.replicas or max(1, manifest.replication)
+        workers = self.workers or max(manifest.nshards, replicas)
+        cfg = replace(self, replicas=replicas, workers=workers)
+        rmap = ReplicaMap.place(
+            manifest.nshards,
+            replicas,
+            workers,
+            vnodes=cfg.vnodes,
+            seed=cfg.seed,
+        )
+        return cfg, rmap
+
 
 @dataclass(frozen=True)
 class ShedResponse:
@@ -125,7 +138,7 @@ class ShedResponse:
 
 
 @dataclass
-class TierReport:
+class TierReport(WorkloadReport):
     """Outcome of one replicated-tier session over a workload."""
 
     responses: list[dict]
@@ -147,39 +160,9 @@ class TierReport:
     ingest: Optional[dict] = None
 
     @property
-    def served(self) -> int:
-        return len(self.responses)
-
-    @property
-    def throughput(self) -> float:
-        """Served queries per virtual second."""
-        return self.served / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def degraded(self) -> int:
-        return sum(1 for r in self.responses if r["response"].get("partial"))
-
-    @property
-    def degraded_rate(self) -> float:
-        return self.degraded / self.served if self.served else 0.0
-
-    @property
     def shed_rate(self) -> float:
         total = self.served + len(self.shed)
         return len(self.shed) / total if total else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        hits = sum(1 for r in self.responses if r.get("cached"))
-        return hits / self.served if self.served else 0.0
-
-    def latency_percentile(self, pct: float) -> float:
-        """Nearest-rank percentile of served-query virtual latency."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        idx = max(0, int(np.ceil(pct / 100.0 * len(ordered))) - 1)
-        return ordered[idx]
 
 
 def broker_of_client(client: int, brokers: int, seed: int = 0) -> int:
@@ -188,127 +171,18 @@ def broker_of_client(client: int, brokers: int, seed: int = 0) -> int:
 
 
 # ----------------------------------------------------------------------
-# replica worker rank
-# ----------------------------------------------------------------------
-class _ReplicaWorker:
-    """One worker rank serving every shard replica placed on it."""
-
-    def __init__(
-        self,
-        ctx,
-        store_dir: str,
-        rmap: ReplicaMap,
-        n_brokers: int,
-    ):
-        self.ctx = ctx
-        self.store_dir = store_dir
-        self.rmap = rmap
-        self.n_brokers = n_brokers
-        self.worker_id = ctx.rank - 1 - n_brokers
-        self.shards = rmap.shards_of(self.worker_id)
-        self.model = load_model(store_dir)
-        self._manifests: dict[int, StoreManifest] = {}
-        self._segments: dict[tuple[int, int], list[ShardStore]] = {}
-        self._stores: dict[str, ShardStore] = {}
-
-    def _identity(self, shard: int) -> str:
-        hosts = self.rmap.workers_for(shard)
-        copy = hosts.index(self.worker_id) if self.worker_id in hosts else -1
-        return (
-            f"shard {shard} copy {copy} on worker {self.worker_id} "
-            f"(rank {self.ctx.rank})"
-        )
-
-    def _manifest(self, epoch: int, shard: int) -> StoreManifest:
-        m = self._manifests.get(epoch)
-        if m is None:
-            try:
-                m = load_manifest_generation(self.store_dir, epoch)
-            except ShardFormatError as exc:
-                raise ShardFormatError(
-                    exc.path, exc.reason, context=self._identity(shard)
-                ) from exc
-            self._manifests[epoch] = m
-        return m
-
-    def _store(self, fname: str, shard: int) -> ShardStore:
-        s = self._stores.get(fname)
-        if s is None:
-            try:
-                s = ShardStore(
-                    Container(os.path.join(self.store_dir, fname)),
-                    self.model,
-                )
-            except ShardFormatError as exc:
-                raise ShardFormatError(
-                    exc.path, exc.reason, context=self._identity(shard)
-                ) from exc
-            self._stores[fname] = s
-        return s
-
-    def segments(self, epoch: int, shard: int) -> list[ShardStore]:
-        """The epoch's segment list for one hosted shard.
-
-        Identical files -- base shard plus owned deltas -- on every
-        replica of the shard, so replicas answer bit-identically.
-        """
-        segs = self._segments.get((epoch, shard))
-        if segs is None:
-            m = self._manifest(epoch, shard)
-            files = [m.shards[shard].file]
-            files += [d.file for d in m.deltas if d.owner == shard]
-            segs = [self._store(f, shard) for f in files]
-            self._segments[(epoch, shard)] = segs
-        return segs
-
-    def run(self) -> int:
-        ctx = self.ctx
-        bytes_scanned = ctx.metrics.counter(
-            "serve.shard.bytes_scanned", ("shard",)
-        )
-        blocks_skipped = ctx.metrics.counter(
-            "serve.shard.blocks_skipped", ("shard",)
-        )
-        served = 0
-        sources = list(range(self.n_brokers + 1))  # router + brokers
-        while True:
-            try:
-                src, msg = ctx.comm.recv_any(sources=sources, tag=TAG_REQ)
-            except CommTimeoutError:
-                if 0 in ctx.failed_ranks():
-                    return served
-                continue
-            except RankFailedError as exc:
-                if 0 in exc.failed:
-                    return served
-                sources = [r for r in sources if r not in set(exc.failed)]
-                if len(sources) <= 1:  # only the router left
-                    continue
-                continue
-            if msg[0] == "stop":
-                return served
-            qid, epoch, shard, op, params = msg
-            segs = self.segments(epoch, shard)
-            payload, scanned, skipped = execute_shard_op(
-                ctx, self.model, segs, op, params
-            )
-            ctx.charge_io(scanned, concurrent_readers=1)
-            bytes_scanned.inc(ctx.rank, float(scanned), key=(str(shard),))
-            blocks_skipped.inc(ctx.rank, float(skipped), key=(str(shard),))
-            ctx.comm.send(src, (qid, shard, payload), tag=TAG_RESP)
-            served += 1
-
-
-# ----------------------------------------------------------------------
 # broker rank (tier flavour)
 # ----------------------------------------------------------------------
 class _TierBroker(_Broker):
-    """A PR-4 broker pumping its client subset against replica workers.
+    """A single-tier broker pumping its client subset against replica
+    workers.
 
     Inherits the closed-loop pump, the per-epoch cache, the hot-reload
     dance, and every operator; overrides the fan-out (replica choice,
     failover, hedging), admission (priority shedding), and shutdown
-    (the router owns the workers' lifecycle).
+    (the router owns the workers' lifecycle).  ``route_key`` and
+    ``merge_reports`` tell the router how to split scripts over brokers
+    of this class and how to fold their reports back together.
     """
 
     def __init__(self, ctx, store_dir: str, config: RouterConfig,
@@ -501,6 +375,11 @@ class _TierBroker(_Broker):
         )
 
     # -- lifecycle -----------------------------------------------------
+    @staticmethod
+    def route_key(script: ClientScript) -> int:
+        """Sticky routing key: each client stays on one broker."""
+        return script.client
+
     def _shutdown(self) -> None:
         """The router owns the workers; brokers stop nothing."""
 
@@ -521,6 +400,7 @@ class _TierBroker(_Broker):
         }
 
     def run(self) -> dict:
+        """Pump the script subset the router ships; report back."""
         ctx = self.ctx
         while True:
             try:
@@ -532,59 +412,68 @@ class _TierBroker(_Broker):
         ctx.comm.send(0, report, tag=TAG_REPORT)
         return report
 
+    @staticmethod
+    def merge_reports(ctx, live: list, dead: set, cfg, rmap) -> TierReport:
+        """Fold the surviving brokers' reports into one session report."""
+        health: dict[str, list[int]] = {"up": [], "suspect": [], "down": []}
+        rank_of = {"up": 0, "suspect": 1, "down": 2}
+        worst: dict[int, str] = {}
+        for rep in live:
+            for state, workers in rep["health"].items():
+                for w in workers:
+                    if w not in worst or rank_of[state] > rank_of[worst[w]]:
+                        worst[w] = state
+        for w in sorted(worst):
+            health[worst[w]].append(w)
+        return TierReport(
+            **merged_sessions(ctx, live, dead, ("client", "seq")),
+            shed=sorted(
+                (s for rep in live for s in rep["shed"]),
+                key=lambda s: (s.client, s.seq),
+            ),
+            replica_map=rmap.to_dict(),
+            brokers=cfg.brokers,
+            workers=cfg.workers,
+            failovers=sum(rep["failovers"] for rep in live),
+            hedges=sum(rep["hedges"] for rep in live),
+            suspicions=sum(rep["suspicions"] for rep in live),
+            health=health,
+            per_broker=[
+                {
+                    "broker": rep["broker"],
+                    "served": len(rep["responses"]),
+                    "shed": len(rep["shed"]),
+                    "failovers": rep["failovers"],
+                    "hedges": rep["hedges"],
+                    "makespan": rep["makespan"],
+                }
+                for rep in live
+            ],
+        )
+
 
 # ----------------------------------------------------------------------
 # router rank
 # ----------------------------------------------------------------------
-def _run_router(
-    ctx, scripts, cfg: RouterConfig, rmap: ReplicaMap
-) -> TierReport:
-    nbrokers, nworkers = cfg.brokers, cfg.workers
-    worker_base = 1 + nbrokers
-    assign: dict[int, list[ClientScript]] = {
-        b: [] for b in range(nbrokers)
-    }
-    for script in scripts:
-        assign[broker_of_client(script.client, nbrokers, cfg.seed)].append(
-            script
-        )
-    for b in range(nbrokers):
-        ctx.charge_cpu(_ROUTE_OPS * max(1, len(assign[b])))
-        ctx.comm.send(1 + b, tuple(assign[b]), tag=TAG_SCRIPTS)
-    reports: list[Optional[dict]] = []
-    for b in range(nbrokers):
-        while True:
-            try:
-                reports.append(ctx.comm.recv(1 + b, tag=TAG_REPORT))
-                break
-            except CommTimeoutError:
-                continue
-            except RankFailedError:
-                reports.append(None)
-                break
-    dead = set(ctx.failed_ranks())
-    for w in range(nworkers):
-        rank = worker_base + w
-        if rank not in dead:
-            ctx.comm.send(rank, ("stop",), tag=TAG_REQ)
-    return _merge_reports(ctx, reports, cfg, rmap, dead)
+def merged_sessions(ctx, live: list, dead: set, order: tuple) -> dict:
+    """The report fields every tier flavour merges the same way.
 
-
-def _merge_reports(
-    ctx, reports, cfg: RouterConfig, rmap: ReplicaMap, dead: set
-) -> TierReport:
-    live = [r for r in reports if r is not None]
-    indexed: list[tuple[tuple[int, int], dict, float]] = []
-    for rep in live:
-        for resp, lat in zip(rep["responses"], rep["latencies"]):
-            resp = dict(resp, broker=rep["broker"])
-            indexed.append(((resp["client"], resp["seq"]), resp, lat))
-    indexed.sort(key=lambda t: t[0])
-    responses = [r for _, r, _ in indexed]
-    latencies = [lat for _, _, lat in indexed]
-    shed = sorted(
-        (s for rep in live for s in rep["shed"]),
-        key=lambda s: (s.client, s.seq),
+    Responses (tagged with their broker) and latencies sort by the
+    response fields named in ``order``; per-generation stats sum their
+    query counts and keep the earliest first-served instant; the
+    makespan is the slowest broker's.
+    """
+    indexed = sorted(
+        (
+            (
+                tuple(resp[f] for f in order),
+                dict(resp, broker=rep["broker"]),
+                lat,
+            )
+            for rep in live
+            for resp, lat in zip(rep["responses"], rep["latencies"])
+        ),
+        key=lambda t: t[0],
     )
     generations: dict[int, dict] = {}
     for rep in live:
@@ -597,58 +486,72 @@ def _merge_reports(
             agg["first_virtual_s"] = min(
                 agg["first_virtual_s"], stats["first_virtual_s"]
             )
-    health: dict[str, list[int]] = {"up": [], "suspect": [], "down": []}
-    rank_of = {"up": 0, "suspect": 1, "down": 2}
-    worst: dict[int, str] = {}
-    for rep in live:
-        for state, workers in rep["health"].items():
-            for w in workers:
-                if (
-                    w not in worst
-                    or rank_of[state] > rank_of[worst[w]]
-                ):
-                    worst[w] = state
-    for w in sorted(worst):
-        health[worst[w]].append(w)
-    return TierReport(
-        responses=responses,
-        latencies=latencies,
-        shed=shed,
-        failed_ranks=sorted(dead),
-        makespan=max((rep["makespan"] for rep in live), default=ctx.now),
-        replica_map=rmap.to_dict(),
+    return {
+        "responses": [r for _, r, _ in indexed],
+        "latencies": [lat for _, _, lat in indexed],
+        "failed_ranks": sorted(dead),
+        "makespan": max((rep["makespan"] for rep in live), default=ctx.now),
+        "generations": generations,
+    }
+
+
+def _run_router(ctx, scripts, cfg: RouterConfig, rmap: ReplicaMap, broker_cls):
+    """Rank 0 of the replicated tier.
+
+    Routes every script to a sticky broker by ``broker_cls.route_key``
+    (the client, or the workbench tenant), ships each broker its
+    subset, collects the brokers' reports, stops the worker tier, and
+    returns ``broker_cls.merge_reports`` of the survivors.
+    """
+    assign: list[list] = [[] for _ in range(cfg.brokers)]
+    for script in scripts:
+        key = broker_cls.route_key(script)
+        assign[broker_of_client(key, cfg.brokers, cfg.seed)].append(script)
+    for b, subset in enumerate(assign):
+        ctx.charge_cpu(_ROUTE_OPS * max(1, len(subset)))
+        ctx.comm.send(1 + b, tuple(subset), tag=TAG_SCRIPTS)
+    live: list[dict] = []
+    for b in range(cfg.brokers):
+        while True:
+            try:
+                live.append(ctx.comm.recv(1 + b, tag=TAG_REPORT))
+                break
+            except CommTimeoutError:
+                continue
+            except RankFailedError:
+                break
+    dead = set(ctx.failed_ranks())
+    for w in range(len(rmap.workers)):
+        rank = 1 + cfg.brokers + w
+        if rank not in dead:
+            ctx.comm.send(rank, ("stop",), tag=TAG_REQ)
+    return broker_cls.merge_reports(ctx, live, dead, cfg, rmap)
+
+
+def launch_tier(
+    store_dir, scripts, cfg: RouterConfig, broker_cls, broker_kw=None, **kwargs
+):
+    """Run one replicated-tier session of ``broker_cls`` brokers.
+
+    ``cfg`` is resolved against the store by
+    :meth:`RouterConfig.placement`; each broker rank is
+    ``broker_cls(ctx, store_dir, cfg, rmap, generational,
+    **broker_kw)``; ``kwargs`` go to
+    :func:`~repro.serve.broker.launch`.
+    """
+    store_dir = str(store_dir)
+    cfg, rmap = cfg.placement(load_manifest(store_dir))
+    return launch(
+        store_dir,
+        scripts,
+        rmap,
+        lambda ctx, gen: broker_cls(
+            ctx, store_dir, cfg, rmap, gen, **(broker_kw or {})
+        ),
         brokers=cfg.brokers,
-        workers=cfg.workers,
-        failovers=sum(rep["failovers"] for rep in live),
-        hedges=sum(rep["hedges"] for rep in live),
-        suspicions=sum(rep["suspicions"] for rep in live),
-        health=health,
-        generations=generations,
-        per_broker=[
-            {
-                "broker": rep["broker"],
-                "served": len(rep["responses"]),
-                "shed": len(rep["shed"]),
-                "failovers": rep["failovers"],
-                "hedges": rep["hedges"],
-                "makespan": rep["makespan"],
-            }
-            for rep in live
-        ],
+        route=lambda ctx, s: _run_router(ctx, s, cfg, rmap, broker_cls),
+        **kwargs,
     )
-
-
-def _tier_main(ctx, store_dir, scripts, cfg, rmap, ingest):
-    nbrokers, nworkers = cfg.brokers, cfg.workers
-    if ctx.rank == 0:
-        return _run_router(ctx, scripts, cfg, rmap)
-    if ctx.rank <= nbrokers:
-        return _TierBroker(
-            ctx, store_dir, cfg, rmap, generational=ingest is not None
-        ).run()
-    if ctx.rank <= nbrokers + nworkers:
-        return _ReplicaWorker(ctx, store_dir, rmap, nbrokers).run()
-    return ingest.run(ctx, store_dir)
 
 
 # ----------------------------------------------------------------------
@@ -669,42 +572,14 @@ def serve_replicated(
     hashing, serves every scripted query through the broker tier, and
     returns the router's merged :class:`TierReport` with the run's
     metrics snapshot attached.  Worker crashes under a fault plan fail
-    over to surviving replicas; the cluster runs with
-    ``raise_on_failure=False``.
+    over to surviving replicas.
     """
-    store_dir = str(store_dir)
-    manifest = load_manifest(store_dir)
-    cfg = config if config is not None else RouterConfig()
-    replicas = cfg.replicas or max(1, manifest.replication)
-    workers = cfg.workers or max(manifest.nshards, replicas)
-    if cfg.brokers < 1:
-        raise ValueError(f"need at least one broker, got {cfg.brokers}")
-    cfg = replace(cfg, replicas=replicas, workers=workers)
-    rmap = ReplicaMap.place(
-        manifest.nshards,
-        replicas,
-        workers,
-        vnodes=cfg.vnodes,
-        seed=cfg.seed,
-    )
-    nprocs = 1 + cfg.brokers + workers + (1 if ingest is not None else 0)
-    cluster = Cluster(nprocs, machine=machine, faults=faults)
-    result = cluster.run(
-        _tier_main,
+    return launch_tier(
         store_dir,
-        tuple(scripts),
-        cfg,
-        rmap,
-        ingest,
-        raise_on_failure=False,
+        scripts,
+        config if config is not None else RouterConfig(),
+        _TierBroker,
+        machine=machine,
+        faults=faults,
+        ingest=ingest,
     )
-    report = result.rank_results[0]
-    if report is None:
-        raise RankFailedError(result.failed_ranks, "router rank crashed")
-    report.metrics = result.metrics.snapshot()
-    report.failed_ranks = sorted(
-        set(report.failed_ranks) | set(result.failed_ranks)
-    )
-    if ingest is not None:
-        report.ingest = result.rank_results[nprocs - 1]
-    return report

@@ -57,6 +57,51 @@ class ClientScript:
     tenant: int = 0
 
 
+class WorkloadReport:
+    """Served-request arithmetic shared by every session report.
+
+    Mixed into the serve, tier and workbench report dataclasses, which
+    all carry ``responses`` (envelopes with an inner ``"response"`` and
+    a ``"cached"`` flag), per-response virtual ``latencies`` and a
+    virtual ``makespan``.
+    """
+
+    responses: list[dict]
+    latencies: list[float]
+    makespan: float
+
+    @property
+    def served(self) -> int:
+        return len(self.responses)
+
+    @property
+    def throughput(self) -> float:
+        """Answered requests per virtual second."""
+        return self.served / self.makespan if self.makespan > 0 else 0.0
+
+    @property
+    def degraded(self) -> int:
+        """Answers flagged partial (missing some shard's documents)."""
+        return sum(1 for r in self.responses if r["response"].get("partial"))
+
+    @property
+    def degraded_rate(self) -> float:
+        return self.degraded / self.served if self.served else 0.0
+
+    @property
+    def cache_hit_rate(self) -> float:
+        hits = sum(1 for r in self.responses if r.get("cached"))
+        return hits / self.served if self.served else 0.0
+
+    def latency_percentile(self, pct: float) -> float:
+        """Nearest-rank percentile of answered-request virtual latency."""
+        if not self.latencies:
+            return 0.0
+        ordered = sorted(self.latencies)
+        idx = max(0, int(np.ceil(pct / 100.0 * len(ordered))) - 1)
+        return ordered[idx]
+
+
 @dataclass(frozen=True)
 class StoreProfile:
     """What the generator needs to know about a store.

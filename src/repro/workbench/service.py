@@ -1,20 +1,22 @@
 """Workbench ranks speaking the broker protocol.
 
-Topologies:
+Topologies (both launched by :func:`repro.serve.broker.launch`, over
+the one shard-worker loop :class:`~repro.serve.broker._ShardWorker`):
 
 - :func:`serve_workbench` -- ``nshards + 1`` ranks (plus one optional
-  ingest-driver rank): rank 0 is a *workbench broker* (the PR-4 query
+  ingest-driver rank): rank 0 is a *workbench broker* (the query
   broker extended with session state), ranks ``1..nshards`` are the
-  unchanged shard workers.  Every workbench fan-out rides the existing
+  shard workers.  Every workbench fan-out rides the existing
   ``TAG_REQ``/``TAG_RESP`` wire protocol, pinned to the session's
   epoch.
 - :func:`serve_workbench_replicated` -- ``1 + brokers + workers``
-  ranks: rank 0 routes each *tenant* to a sticky workbench broker
-  (quota state is broker-local, so a tenant's sessions must share a
-  broker), brokers pump their tenant subsets against the replica
-  worker tier with the PR-7 failover/hedging fan-out.  With
-  ``replicas >= 2`` a worker crash mid-session is masked: every
-  response and artifact stays byte-identical to the fault-free run.
+  ranks: rank 0 runs the replicated tier's one router loop, routing
+  each *tenant* to a sticky workbench broker (quota state is
+  broker-local, so a tenant's sessions must share a broker); brokers
+  pump their tenant subsets against the replica worker tier with its
+  failover/hedging fan-out.  With ``replicas >= 2`` a worker crash
+  mid-session is masked: every response and artifact stays
+  byte-identical to the fault-free run.
 
 Determinism: op handlers do float work only through the shared serving
 kernels (merge order via ``topk_score_row``, tf·icf accumulation in
@@ -44,24 +46,15 @@ import numpy as np
 
 from repro.analysis.session import pseudo_signature
 from repro.index.termindex import topk_score_row
-from repro.runtime.cluster import Cluster, MachineSpec
-from repro.runtime.errors import CommTimeoutError, RankFailedError
-from repro.serve.broker import (
-    _REJECT_OPS,
-    TAG_REQ,
-    _Broker,
-    _ShardWorker,
-    BrokerConfig,
-)
+from repro.runtime.cluster import MachineSpec
+from repro.serve.broker import _REJECT_OPS, BrokerConfig, _Broker, launch
 from repro.serve.query import canonical_response, hits_payload, merge_desc
 from repro.serve.replica import ReplicaMap
 from repro.serve.router import (
-    TAG_REPORT,
-    TAG_SCRIPTS,
     RouterConfig,
-    _ReplicaWorker,
     _TierBroker,
-    broker_of_client,
+    launch_tier,
+    merged_sessions,
 )
 from repro.serve.store import load_manifest
 from repro.workbench.state import (
@@ -83,6 +76,16 @@ from repro.workbench.state import (
 _ALGEBRA_OPS_PER_CAND = 4
 #: modelled broker-side cost of assembling one artifact
 _DERIVE_OPS = 500
+#: per-broker session/set/artifact tallies, as WorkbenchReport fields
+_SESSION_COUNTS = (
+    "sessions_opened",
+    "sessions_closed",
+    "sessions_evicted",
+    "sets_saved",
+    "artifact_hits",
+    "artifact_misses",
+    "artifact_evictions",
+)
 
 
 class _WorkbenchCore:
@@ -90,12 +93,14 @@ class _WorkbenchCore:
 
     Mixed in front of :class:`~repro.serve.broker._Broker` (single
     tier) or :class:`~repro.serve.router._TierBroker` (replicated
-    tier): uses only the host's fan-out, flagging, reload, and
-    shutdown hooks, so replica failover and hedging come along for
-    free in the replicated flavour.
+    tier): replaces the host's ``pump`` and ``_build_report`` and
+    otherwise uses only its fan-out, flagging, reload, and shutdown
+    hooks, so replica failover and hedging come along for free in the
+    replicated flavour.  The host's constructor takes ``host_args``.
     """
 
-    def _init_workbench(self, wcfg: WorkbenchConfig) -> None:
+    def __init__(self, *host_args, wcfg: WorkbenchConfig):
+        super().__init__(*host_args)
         self.wcfg = wcfg
         #: (tenant, client) -> open session
         self.sessions: dict[tuple[int, int], WorkbenchSession] = {}
@@ -104,13 +109,7 @@ class _WorkbenchCore:
         #: tenant -> artifact LRU: key -> (response dict, nbytes)
         self.art_cache: dict[int, OrderedDict[tuple, tuple[dict, int]]] = {}
         self.art_bytes: dict[int, int] = {}
-        self.n_opened = 0
-        self.n_closed = 0
-        self.n_evicted = 0
-        self.n_sets = 0
-        self.n_art_hit = 0
-        self.n_art_miss = 0
-        self.n_art_evict = 0
+        self.counts = dict.fromkeys(_SESSION_COUNTS, 0)
         m = self.ctx.metrics
         self.c_wb_ops = m.counter("workbench.ops", ("verb",))
         self.c_wb_opened = m.counter("workbench.sessions.opened")
@@ -134,7 +133,7 @@ class _WorkbenchCore:
             if now - sess.last_active_s > ttl:
                 del self.sessions[key]
                 self.evicted_keys.add(key)
-                self.n_evicted += 1
+                self.counts["sessions_evicted"] += 1
                 self.c_wb_evicted.inc(self.mrank)
 
     def _tenant_sessions(self, tenant: int) -> int:
@@ -177,50 +176,30 @@ class _WorkbenchCore:
         ``restrict`` (ascending global rows) is the refine path: only
         those rows compete, with unchanged per-row floats.
         """
+        k = (
+            int(restrict.size)
+            if restrict is not None
+            else min(max(1, query.k), sess.n_docs)
+        )
+        rows = self._term_rows(query.terms)
         if query.kind == "search":
-            term_rows = [
-                self.model.term_row[t]
-                for t in query.terms
-                if t in self.model.term_row
-            ]
-            if not term_rows or not self.model.has_postings:
+            if not rows or not self.model.has_postings or k < 1:
                 return [], []
-            k = (
-                int(restrict.size)
-                if restrict is not None
-                else min(max(1, query.k), sess.n_docs)
-            )
-            if k < 1:
-                return [], []
+            op = "search"
             params = {
-                "term_rows": term_rows,
+                "term_rows": rows,
                 "icf": sess.icf,
                 "k": k,
                 "pruned": self.config.pruned_search,
             }
-            if restrict is not None:
-                params["restrict_rows"] = restrict
-            got, dropped = self._session_fanout(sess, "search", params)
         else:  # "query": pseudo-signature cosine ranking
-            rows = [
-                self.model.term_row[t]
-                for t in query.terms
-                if t in self.model.term_row
-            ]
             unit = pseudo_signature(self.model.association, rows)
-            if unit is None:
+            if unit is None or k < 1:
                 return [], []
-            k = (
-                int(restrict.size)
-                if restrict is not None
-                else min(max(1, query.k), sess.n_docs)
-            )
-            if k < 1:
-                return [], []
-            params = {"unit": unit, "k": k}
-            if restrict is not None:
-                params["restrict_rows"] = restrict
-            got, dropped = self._session_fanout(sess, "matvec", params)
+            op, params = "matvec", {"unit": unit, "k": k}
+        if restrict is not None:
+            params["restrict_rows"] = restrict
+        got, dropped = self._session_fanout(sess, op, params)
         cands = merge_desc([got[s] for s in sorted(got)], k)
         self.ctx.charge_cpu(sum(len(got[s]) for s in got) + _DERIVE_OPS)
         return cands, dropped
@@ -281,7 +260,7 @@ class _WorkbenchCore:
         if cache is None or key not in cache:
             return None
         cache.move_to_end(key)
-        self.n_art_hit += 1
+        self.counts["artifact_hits"] += 1
         self.c_art_hit.inc(self.mrank)
         return cache[key][0]
 
@@ -304,7 +283,7 @@ class _WorkbenchCore:
         while cache and used + nbytes > self.wcfg.max_derived_bytes:
             _, (_, old) = cache.popitem(last=False)
             used -= old
-            self.n_art_evict += 1
+            self.counts["artifact_evictions"] += 1
             self.c_art_evict.inc(self.mrank)
         cache[key] = (resp, nbytes)
         self.art_bytes[tenant] = used + nbytes
@@ -359,8 +338,7 @@ class _WorkbenchCore:
                 list(cands[: self.wcfg.preview_hits])
             ),
         }
-        self._flag(resp, dropped)
-        return resp
+        return self._flag(resp, dropped)
 
     def _save_set(
         self,
@@ -384,7 +362,7 @@ class _WorkbenchCore:
         ):
             return self._reject(script, seq, op, "set_quota", rejected)
         sess.sets[op.name] = cands
-        self.n_sets += 1
+        self.counts["sets_saved"] += 1
         self.c_wb_sets.inc(self.mrank)
         resp["saved"] = True
         return resp
@@ -400,23 +378,15 @@ class _WorkbenchCore:
         wcfg = self.wcfg
         ctx = self.ctx
         key = (script.tenant, script.client)
+
+        def reject(reason: str, gen: int) -> tuple[dict, bool, int]:
+            return self._reject(script, seq, op, reason, rejected), False, gen
+
         if op.verb == "open":
             if key in self.sessions:
-                return (
-                    self._reject(
-                        script, seq, op, "already_open", rejected
-                    ),
-                    False,
-                    self.epoch,
-                )
+                return reject("already_open", self.epoch)
             if self._tenant_sessions(script.tenant) >= wcfg.max_sessions:
-                return (
-                    self._reject(
-                        script, seq, op, "session_quota", rejected
-                    ),
-                    False,
-                    self.epoch,
-                )
+                return reject("session_quota", self.epoch)
             self.evicted_keys.discard(key)
             self.sessions[key] = WorkbenchSession(
                 tenant=script.tenant,
@@ -427,22 +397,18 @@ class _WorkbenchCore:
                 opened_s=float(ctx.now),
                 last_active_s=float(ctx.now),
             )
-            self.n_opened += 1
+            self.counts["sessions_opened"] += 1
             self.c_wb_opened.inc(self.mrank)
             return {"kind": "open"}, False, self.epoch
 
         sess, why = self._get_session(script)
         if sess is None:
-            return (
-                self._reject(script, seq, op, why, rejected),
-                False,
-                self.epoch,
-            )
+            return reject(why, self.epoch)
         gen = sess.epoch
 
         if op.verb == "close":
             del self.sessions[key]
-            self.n_closed += 1
+            self.counts["sessions_closed"] += 1
             self.c_wb_closed.inc(self.mrank)
             return (
                 {"kind": "close", "sets": sorted(sess.sets)},
@@ -455,22 +421,12 @@ class _WorkbenchCore:
                 op.query is None
                 or op.query.kind not in SET_QUERY_KINDS
             ):
-                return (
-                    self._reject(script, seq, op, "bad_query", rejected),
-                    False,
-                    gen,
-                )
+                return reject("bad_query", gen)
             restrict = None
             if op.verb == "refine":
                 base = sess.sets.get(op.base)
                 if base is None:
-                    return (
-                        self._reject(
-                            script, seq, op, "unknown_set", rejected
-                        ),
-                        False,
-                        gen,
-                    )
+                    return reject("unknown_set", gen)
                 restrict = set_rows(base)
             cands, dropped = self._wb_query(sess, op.query, restrict)
             resp = self._save_set(
@@ -482,21 +438,9 @@ class _WorkbenchCore:
         if op.verb == "window":
             base = sess.sets.get(op.base)
             if base is None:
-                return (
-                    self._reject(
-                        script, seq, op, "unknown_set", rejected
-                    ),
-                    False,
-                    gen,
-                )
+                return reject("unknown_set", gen)
             if self.manifest.facets is None:
-                return (
-                    self._reject(
-                        script, seq, op, "unstamped_store", rejected
-                    ),
-                    False,
-                    gen,
-                )
+                return reject("unstamped_store", gen)
             rows = set_rows(base)
             dropped: list[int] = []
             kept: set[int] = set()
@@ -532,13 +476,7 @@ class _WorkbenchCore:
             a = sess.sets.get(op.base)
             b = sess.sets.get(op.other)
             if a is None or b is None:
-                return (
-                    self._reject(
-                        script, seq, op, "unknown_set", rejected
-                    ),
-                    False,
-                    gen,
-                )
+                return reject("unknown_set", gen)
             ctx.charge_cpu(
                 _ALGEBRA_OPS_PER_CAND * (len(a) + len(b)) + _DERIVE_OPS
             )
@@ -556,18 +494,14 @@ class _WorkbenchCore:
         # -- derives: keyphrases / cooccur / relations ----------------
         base = sess.sets.get(op.base)
         if base is None:
-            return (
-                self._reject(script, seq, op, "unknown_set", rejected),
-                False,
-                gen,
-            )
+            return reject("unknown_set", gen)
         digest = set_digest(base)
         ck = (digest, gen, op.verb, op.n, op.min_support)
         cached = self._artifact_lookup(script.tenant, ck)
         if cached is not None:
             sess.last_active_s = float(ctx.now)
             return cached, True, gen
-        self.n_art_miss += 1
+        self.counts["artifact_misses"] += 1
         self.c_art_miss.inc(self.mrank)
         rows = set_rows(base)
         if op.verb == "keyphrases":
@@ -632,15 +566,11 @@ class _WorkbenchCore:
             return resp, False, gen  # degraded: never cached
         reason = self._artifact_store(script.tenant, ck, resp)
         if reason is not None:
-            return (
-                self._reject(script, seq, op, reason, rejected),
-                False,
-                gen,
-            )
+            return reject(reason, gen)
         return resp, False, gen
 
     # -- event pump ----------------------------------------------------
-    def pump_workbench(self, wscripts: list[WorkbenchScript]):
+    def pump(self, wscripts: list[WorkbenchScript]):
         """Closed-loop pump over analyst scripts (one op in flight per
         session, think times between ops)."""
         ctx = self.ctx
@@ -668,10 +598,7 @@ class _WorkbenchCore:
             self.h_wb_latency.observe(
                 self.mrank, latency, key=(op.verb,)
             )
-            stats = self.gen_stats.setdefault(
-                gen, {"queries": 0, "first_virtual_s": float(arrival)}
-            )
-            stats["queries"] += 1
+            self._tally(gen, arrival)
             responses.append(
                 {
                     "tenant": script.tenant,
@@ -690,234 +617,75 @@ class _WorkbenchCore:
                     (finish + script.think_s[seq + 1], idx, seq + 1),
                 )
         self._shutdown()
-        return self._build_wb_report(responses, latencies, rejected)
+        return self._build_report(responses, latencies, rejected)
 
-    def _build_wb_report(
+    def _build_report(
         self, responses, latencies, rejected
     ) -> WorkbenchReport:
         return WorkbenchReport(
             responses=responses,
             latencies=latencies,
             rejected=rejected,
-            failed_ranks=sorted(
-                s + 1
-                for s in range(self.nshards)
-                if s not in self.live
-            ),
+            failed_ranks=self._dead_shard_ranks(),
             makespan=self.ctx.now,
-            sessions_opened=self.n_opened,
-            sessions_closed=self.n_closed,
-            sessions_evicted=self.n_evicted,
-            sets_saved=self.n_sets,
-            artifact_hits=self.n_art_hit,
-            artifact_misses=self.n_art_miss,
-            artifact_evictions=self.n_art_evict,
             generations=self.gen_stats,
+            **self.counts,
         )
 
 
 class _WorkbenchBroker(_WorkbenchCore, _Broker):
-    """Single-tier workbench broker over the PR-4 shard ranks."""
-
-    def __init__(
-        self,
-        ctx,
-        store_dir: str,
-        config: BrokerConfig,
-        wcfg: WorkbenchConfig,
-        generational: bool = False,
-    ):
-        _Broker.__init__(
-            self, ctx, store_dir, config, generational=generational
-        )
-        self._init_workbench(wcfg)
+    """Single-tier workbench broker over the shard-worker ranks."""
 
 
 class _WorkbenchTierBroker(_WorkbenchCore, _TierBroker):
     """Replicated-tier workbench broker with failover/hedging."""
 
-    def __init__(
-        self,
-        ctx,
-        store_dir: str,
-        config: RouterConfig,
-        wcfg: WorkbenchConfig,
-        rmap: ReplicaMap,
-        generational: bool,
-    ):
-        _TierBroker.__init__(
-            self, ctx, store_dir, config, rmap, generational
-        )
-        self._init_workbench(wcfg)
+    @staticmethod
+    def route_key(script: WorkbenchScript) -> int:
+        """Sticky *tenant* routing: a tenant's quota and artifact state
+        live on exactly one broker."""
+        return script.tenant
 
-    def _build_wb_report(self, responses, latencies, rejected) -> dict:
+    def _build_report(self, responses, latencies, rejected) -> dict:
         return {
             "broker": self.broker_idx,
             "responses": responses,
             "latencies": latencies,
             "rejected": rejected,
-            "counts": {
-                "sessions_opened": self.n_opened,
-                "sessions_closed": self.n_closed,
-                "sessions_evicted": self.n_evicted,
-                "sets_saved": self.n_sets,
-                "artifact_hits": self.n_art_hit,
-                "artifact_misses": self.n_art_miss,
-                "artifact_evictions": self.n_art_evict,
-            },
+            "counts": dict(self.counts),
             "gen_stats": self.gen_stats,
             "makespan": self.ctx.now,
         }
 
-    def run(self) -> dict:
-        ctx = self.ctx
-        while True:
-            try:
-                scripts = ctx.comm.recv(0, tag=TAG_SCRIPTS)
-                break
-            except CommTimeoutError:
-                continue
-        report = self.pump_workbench(list(scripts))
-        ctx.comm.send(0, report, tag=TAG_REPORT)
-        return report
-
-
-# ----------------------------------------------------------------------
-# router (replicated flavour)
-# ----------------------------------------------------------------------
-def _run_workbench_router(
-    ctx, wscripts, cfg: RouterConfig, rmap: ReplicaMap
-) -> WorkbenchReport:
-    nbrokers, nworkers = cfg.brokers, cfg.workers
-    worker_base = 1 + nbrokers
-    assign: dict[int, list[WorkbenchScript]] = {
-        b: [] for b in range(nbrokers)
-    }
-    # sticky *tenant* routing: a tenant's quota and artifact state
-    # live on exactly one broker
-    for script in wscripts:
-        assign[
-            broker_of_client(script.tenant, nbrokers, cfg.seed)
-        ].append(script)
-    for b in range(nbrokers):
-        ctx.charge_cpu(50 * max(1, len(assign[b])))
-        ctx.comm.send(1 + b, tuple(assign[b]), tag=TAG_SCRIPTS)
-    reports: list[Optional[dict]] = []
-    for b in range(nbrokers):
-        while True:
-            try:
-                reports.append(ctx.comm.recv(1 + b, tag=TAG_REPORT))
-                break
-            except CommTimeoutError:
-                continue
-            except RankFailedError:
-                reports.append(None)
-                break
-    dead = set(ctx.failed_ranks())
-    for w in range(nworkers):
-        rank = worker_base + w
-        if rank not in dead:
-            ctx.comm.send(rank, ("stop",), tag=TAG_REQ)
-    live = [r for r in reports if r is not None]
-    indexed: list[tuple[tuple[int, int, int], dict, float]] = []
-    for rep in live:
-        for resp, lat in zip(rep["responses"], rep["latencies"]):
-            resp = dict(resp, broker=rep["broker"])
-            indexed.append(
-                (
-                    (resp["tenant"], resp["client"], resp["seq"]),
-                    resp,
-                    lat,
-                )
-            )
-    indexed.sort(key=lambda t: t[0])
-    rejected = sorted(
-        (r for rep in live for r in rep["rejected"]),
-        key=lambda r: (r.tenant, r.client, r.seq),
-    )
-    generations: dict[int, dict] = {}
-    for rep in live:
-        for g, stats in rep["gen_stats"].items():
-            agg = generations.setdefault(
-                g,
+    @staticmethod
+    def merge_reports(
+        ctx, live: list, dead: set, cfg, rmap
+    ) -> WorkbenchReport:
+        return WorkbenchReport(
+            **merged_sessions(ctx, live, dead, ("tenant", "client", "seq")),
+            rejected=sorted(
+                (r for rep in live for r in rep["rejected"]),
+                key=lambda r: (r.tenant, r.client, r.seq),
+            ),
+            per_broker=[
                 {
-                    "queries": 0,
-                    "first_virtual_s": stats["first_virtual_s"],
-                },
-            )
-            agg["queries"] += stats["queries"]
-            agg["first_virtual_s"] = min(
-                agg["first_virtual_s"], stats["first_virtual_s"]
-            )
-    totals = {
-        k: sum(rep["counts"][k] for rep in live)
-        for k in (
-            "sessions_opened",
-            "sessions_closed",
-            "sessions_evicted",
-            "sets_saved",
-            "artifact_hits",
-            "artifact_misses",
-            "artifact_evictions",
+                    "broker": rep["broker"],
+                    "served": len(rep["responses"]),
+                    "rejected": len(rep["rejected"]),
+                    "makespan": rep["makespan"],
+                }
+                for rep in live
+            ],
+            **{
+                k: sum(rep["counts"][k] for rep in live)
+                for k in _SESSION_COUNTS
+            },
         )
-    }
-    return WorkbenchReport(
-        responses=[r for _, r, _ in indexed],
-        latencies=[lat for _, _, lat in indexed],
-        rejected=rejected,
-        failed_ranks=sorted(dead),
-        makespan=max(
-            (rep["makespan"] for rep in live), default=ctx.now
-        ),
-        generations=generations,
-        per_broker=[
-            {
-                "broker": rep["broker"],
-                "served": len(rep["responses"]),
-                "rejected": len(rep["rejected"]),
-                "makespan": rep["makespan"],
-            }
-            for rep in live
-        ],
-        **totals,
-    )
 
 
 # ----------------------------------------------------------------------
-# rank mains + entry points
+# entry points
 # ----------------------------------------------------------------------
-def _workbench_main(
-    ctx, store_dir, wscripts, wcfg, bcfg, nshards, ingest
-):
-    if ctx.rank == 0:
-        return _WorkbenchBroker(
-            ctx, store_dir, bcfg, wcfg, generational=ingest is not None
-        ).pump_workbench(list(wscripts))
-    if ctx.rank <= nshards:
-        return _ShardWorker(ctx, store_dir).run()
-    return ingest.run(ctx, store_dir)
-
-
-def _workbench_tier_main(
-    ctx, store_dir, wscripts, wcfg, cfg, rmap, ingest
-):
-    nbrokers, nworkers = cfg.brokers, cfg.workers
-    if ctx.rank == 0:
-        return _run_workbench_router(ctx, wscripts, cfg, rmap)
-    if ctx.rank <= nbrokers:
-        return _WorkbenchTierBroker(
-            ctx,
-            store_dir,
-            cfg,
-            wcfg,
-            rmap,
-            generational=ingest is not None,
-        ).run()
-    if ctx.rank <= nbrokers + nworkers:
-        return _ReplicaWorker(ctx, store_dir, rmap, nbrokers).run()
-    return ingest.run(ctx, store_dir)
-
-
 def serve_workbench(
     store_dir: str | os.PathLike,
     wscripts: list[WorkbenchScript],
@@ -937,35 +705,21 @@ def serve_workbench(
     transcripts are bit-exact across both.
     """
     store_dir = str(store_dir)
-    manifest = load_manifest(store_dir)
     wcfg = config if config is not None else WorkbenchConfig()
     bcfg = broker if broker is not None else BrokerConfig()
-    nprocs = manifest.nshards + 1 + (1 if ingest is not None else 0)
-    cluster = Cluster(
-        nprocs, machine=machine, faults=faults, backend=backend
-    )
-    result = cluster.run(
-        _workbench_main,
+    nshards = load_manifest(store_dir).nshards
+    return launch(
         store_dir,
-        tuple(wscripts),
-        wcfg,
-        bcfg,
-        manifest.nshards,
-        ingest,
-        raise_on_failure=False,
+        wscripts,
+        ReplicaMap.single(nshards),
+        lambda ctx, gen: _WorkbenchBroker(
+            ctx, store_dir, bcfg, gen, wcfg=wcfg
+        ),
+        machine=machine,
+        faults=faults,
+        ingest=ingest,
+        backend=backend,
     )
-    report = result.rank_results[0]
-    if report is None:
-        raise RankFailedError(
-            result.failed_ranks, "workbench broker rank crashed"
-        )
-    report.metrics = result.metrics.snapshot()
-    report.failed_ranks = sorted(
-        set(report.failed_ranks) | set(result.failed_ranks)
-    )
-    if ingest is not None:
-        report.ingest = result.rank_results[manifest.nshards + 1]
-    return report
 
 
 def serve_workbench_replicated(
@@ -976,56 +730,22 @@ def serve_workbench_replicated(
     machine: Optional[MachineSpec] = None,
     faults=None,
     ingest=None,
-    backend: str = "sim",
 ) -> WorkbenchReport:
     """Run one workbench session over the replicated worker tier.
 
     Tenants route stickily to ``router.brokers`` workbench brokers;
     shard requests fan out over ``replicas`` copies with failover and
     hedging, so with ``replicas >= 2`` a worker crash mid-session is
-    masked byte-for-byte.
+    masked byte-for-byte.  The tier needs ``recv_any``, so it runs on
+    the ``sim`` backend only.
     """
-    from dataclasses import replace as _replace
-
-    store_dir = str(store_dir)
-    manifest = load_manifest(store_dir)
-    wcfg = config if config is not None else WorkbenchConfig()
-    cfg = router if router is not None else RouterConfig()
-    replicas = cfg.replicas or max(1, manifest.replication)
-    workers = cfg.workers or max(manifest.nshards, replicas)
-    if cfg.brokers < 1:
-        raise ValueError(f"need at least one broker, got {cfg.brokers}")
-    cfg = _replace(cfg, replicas=replicas, workers=workers)
-    rmap = ReplicaMap.place(
-        manifest.nshards,
-        replicas,
-        workers,
-        vnodes=cfg.vnodes,
-        seed=cfg.seed,
-    )
-    nprocs = 1 + cfg.brokers + workers + (1 if ingest is not None else 0)
-    cluster = Cluster(
-        nprocs, machine=machine, faults=faults, backend=backend
-    )
-    result = cluster.run(
-        _workbench_tier_main,
+    return launch_tier(
         store_dir,
-        tuple(wscripts),
-        wcfg,
-        cfg,
-        rmap,
-        ingest,
-        raise_on_failure=False,
+        wscripts,
+        router if router is not None else RouterConfig(),
+        _WorkbenchTierBroker,
+        {"wcfg": config if config is not None else WorkbenchConfig()},
+        machine=machine,
+        faults=faults,
+        ingest=ingest,
     )
-    report = result.rank_results[0]
-    if report is None:
-        raise RankFailedError(
-            result.failed_ranks, "workbench router rank crashed"
-        )
-    report.metrics = result.metrics.snapshot()
-    report.failed_ranks = sorted(
-        set(report.failed_ranks) | set(result.failed_ranks)
-    )
-    if ingest is not None:
-        report.ingest = result.rank_results[nprocs - 1]
-    return report

@@ -6,6 +6,8 @@ import shutil
 import pytest
 
 from repro.ingest.delta import append_generation, build_delta
+from repro.serve.broker import serve
+from repro.serve.query import Query, canonical_response
 from repro.serve.store import (
     CURRENT_FILE,
     ShardFormatError,
@@ -15,6 +17,7 @@ from repro.serve.store import (
     load_manifest_generation,
     verify_store,
 )
+from repro.serve.workload import ClientScript, generate_workload, store_profile
 from tests.ingest.conftest import ENGINE_CONFIG
 
 
@@ -71,6 +74,50 @@ def test_old_generations_stay_readable(result, make_store, feed_batches):
         m = load_manifest_generation(store, k)
         assert m.generation == k
         assert len(m.deltas) == k
+
+
+def test_mp_serves_published_deltas_like_sim(
+    result, make_store, feed_batches
+):
+    """Epoch-pinned four-field requests over multi-segment shards: the
+    mp backend answers exactly as sim does."""
+    store = make_store(2)
+    manifest = _publish(result, store, feed_batches, n=2)
+    new_doc = manifest.deltas[1].doc_lo
+    scripts = generate_workload(
+        store_profile(store), n_clients=2, queries_per_client=8, seed=3
+    )
+    scripts.append(
+        ClientScript(
+            client=2,
+            queries=(
+                Query(kind="similar", doc_id=new_doc, k=5),
+                Query(kind="region", x=0.0, y=0.0, radius=10.0),
+            ),
+            think_s=(0.0, 0.01),
+        )
+    )
+
+    def answers(report):
+        return sorted(
+            (
+                r["client"],
+                r["seq"],
+                r["generation"],
+                canonical_response(r["response"]),
+            )
+            for r in report.responses
+        )
+
+    sim = serve(store, scripts)
+    assert {r["generation"] for r in sim.responses} == {2}
+    assert sim.degraded == 0
+    # the delta document anchors a real k-NN answer
+    (anchored,) = [
+        r for r in sim.responses if (r["client"], r["seq"]) == (2, 0)
+    ]
+    assert anchored["response"]["hits"]
+    assert answers(serve(store, scripts, backend="mp")) == answers(sim)
 
 
 def test_verify_store_ok(result, make_store, feed_batches):

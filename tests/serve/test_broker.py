@@ -175,6 +175,22 @@ class TestFaultDegradation:
         assert late["failed_shards"] == [0, 1]
 
 
+    def test_idle_shard_outwaits_comm_timeout(self, stores):
+        """A shard rank idle past the plan's comm timeout keeps serving."""
+        queries = [
+            Query(kind="cluster", cluster=0),
+            Query(kind="cluster", cluster=1),
+        ]
+        report = serve(
+            stores[2],
+            [_script(queries, think=3.0)],
+            faults=FaultPlan(faults=(), comm_timeout_s=1.0),
+        )
+        assert report.served == len(queries)
+        assert report.degraded == 0
+        assert report.failed_ranks == []
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self, stores, workload):
         a = serve(stores[4], workload)
